@@ -193,13 +193,9 @@ let run_batch_daemon fd ~files ~output ~options ~strict ~verify
 
 let run files output show_deps show_transform no_tile tile_size no_parallel
     wavefront no_intra_reorder no_input_deps unroll_jam check params_spec
-    simulate cores native strict verify break_schedule tune tune_report jobs
-    tune_budget stats stats_json cold_solver batch batch_manifest batch_timeout
-    cache_dir cache_size fast_schedule break_fastpath reductions connect =
-  if cold_solver then begin
-    Milp.set_warm false;
-    Polyhedra.set_empty_cache false
-  end;
+    simulate cores native strict verify tune tune_report jobs tune_budget stats
+    stats_json batch batch_manifest batch_timeout cache_dir cache_size
+    fast_schedule reductions connect =
   Store.set_dir cache_dir;
   let options =
     {
@@ -216,7 +212,6 @@ let run files output show_deps show_transform no_tile tile_size no_parallel
           Pluto.Auto.input_deps = not no_input_deps;
         };
       fast_schedule;
-      break_fastpath;
       reductions;
     }
   in
@@ -256,13 +251,12 @@ let run files output show_deps show_transform no_tile tile_size no_parallel
     | [ file ] -> (
     let src = read_file file in
     (* --connect: hand plain compilations to the daemon; anything needing
-       in-process artifacts (tuning, checking, simulation, dumps, the
-       sabotage hooks) stays local.  No daemon listening → fall back. *)
+       in-process artifacts (tuning, checking, simulation, dumps) stays
+       local.  No daemon listening → fall back. *)
     let daemon_eligible =
       connect <> None
       && not
-           (tune || check || simulate || native || show_deps || show_transform
-          || break_schedule || cold_solver)
+           (tune || check || simulate || native || show_deps || show_transform)
     in
     let daemon_code =
       if not daemon_eligible then None
@@ -373,19 +367,6 @@ let run files output show_deps show_transform no_tile tile_size no_parallel
                 1
             | Ok (r, compile_warns) ->
                 render ~src compile_warns;
-                (* test-only: sabotage the schedule so the validator has
-                   something to catch *)
-                let r =
-                  if not break_schedule then r
-                  else
-                    match
-                      Verify.For_tests.reverse_first_loop r.Driver.transform
-                    with
-                    | None -> r
-                    | Some broken ->
-                        Driver.compile_with_transform ~options
-                          r.Driver.program r.Driver.deps broken
-                in
                 let verify_failed = ref false in
                 if verify then begin
                   let assoc =
@@ -774,20 +755,6 @@ let connect_arg =
            $(b,--simulate), $(b,--native-run), dump flags) always compile \
            locally.")
 
-(* Deliberately undocumented: sabotage hook for exercising --verify's
-   rejection path from the test suite. *)
-let break_schedule_arg =
-  Arg.(
-    value & flag
-    & info [ "break-schedule" ] ~doc:"" ~docs:Cmdliner.Manpage.s_none)
-
-(* Deliberately undocumented: disable solver warm starts and emptiness
-   caching, the reference configuration for A/B-ing the incremental solver
-   (CI's solver-smoke job and the bench solver section use it). *)
-let cold_solver_arg =
-  Arg.(
-    value & flag & info [ "cold-solver" ] ~doc:"" ~docs:Cmdliner.Manpage.s_none)
-
 let fast_schedule_arg =
   Arg.(
     value
@@ -807,14 +774,6 @@ let fast_schedule_arg =
                 "Always use the exact per-hyperplane ILP search (skip the \
                  fast scheduling path)." );
         ])
-
-(* Deliberately undocumented: sabotage hook for exercising the fast path's
-   rejection machinery — corrupts any accepted fast schedule before
-   validation, so the validator must catch it and the ILP must take over. *)
-let break_fastpath_arg =
-  Arg.(
-    value & flag
-    & info [ "break-fastpath" ] ~doc:"" ~docs:Cmdliner.Manpage.s_none)
 
 let reductions_arg =
   Arg.(
@@ -840,10 +799,9 @@ let cmd =
       $ no_tile_arg $ tile_size_arg $ no_parallel_arg $ wavefront_arg
       $ no_intra_arg $ no_input_deps_arg $ unroll_jam_arg $ check_arg
       $ params_arg $ simulate_arg $ cores_arg $ native_arg $ strict_arg
-      $ verify_arg $ break_schedule_arg $ tune_arg $ tune_report_arg
-      $ jobs_arg $ tune_budget_arg $ stats_arg $ stats_json_arg
-      $ cold_solver_arg $ batch_arg $ batch_manifest_arg $ batch_timeout_arg
-      $ cache_dir_arg $ cache_size_arg $ fast_schedule_arg
-      $ break_fastpath_arg $ reductions_arg $ connect_arg)
+      $ verify_arg $ tune_arg $ tune_report_arg $ jobs_arg $ tune_budget_arg
+      $ stats_arg $ stats_json_arg $ batch_arg $ batch_manifest_arg
+      $ batch_timeout_arg $ cache_dir_arg $ cache_size_arg $ fast_schedule_arg
+      $ reductions_arg $ connect_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -452,11 +452,11 @@ let transform ?(config = default_config) (p : Ir.program) (deps : Deps.t list) =
   let stuck_reason = ref "" in
   let budget_note = ref None in
   let deadline =
-    Option.map (fun dt -> Sys.time () +. dt) config.search_time_limit_s
+    Option.map (fun dt -> Unix.gettimeofday () +. dt) config.search_time_limit_s
   in
   let check_deadline () =
     match deadline with
-    | Some d when Sys.time () > d ->
+    | Some d when Unix.gettimeofday () >= d ->
         raise
           (Diag.Budget_exceeded
              (Printf.sprintf "transformation search exceeded %gs (level %d)"

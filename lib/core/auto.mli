@@ -47,7 +47,8 @@ type config = {
       (** resource budget for each hyperplane-search ILP; exhaustion degrades
           the search (cut / dismiss / {!No_transform}) instead of diverging *)
   search_time_limit_s : float option;
-      (** CPU-time deadline for one whole search (default [None]).  The
+      (** Wall-clock deadline for one whole search (default [None]), checked
+          with [>=] so that [Some 0.0] always trips.  The
           per-ILP [budget] bounds each solver call, but a search makes many
           of them — one hyperplane ILP per level plus concrete satisfaction
           and parallelism tests per live dependence — so the total can grow

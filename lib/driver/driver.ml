@@ -10,7 +10,6 @@ type options = {
   auto : Pluto.Auto.config;
   context_min : int;
   fast_schedule : bool;
-  break_fastpath : bool;
   reductions : bool;
 }
 
@@ -27,11 +26,8 @@ let default_options =
     auto = Pluto.Auto.default_config;
     context_min = 1;
     fast_schedule = true;
-    break_fastpath = false;
     reductions = false;
   }
-
-let paper_options = default_options
 
 type result = {
   program : Ir.program;
@@ -286,31 +282,213 @@ let compile_with_transform ?(options = default_options) program deps transform =
   in
   { program; deps; transform; target; code }
 
-let compile ?(options = default_options) program =
+(* ------------------- the rungs of the degradation ladder ------------------ *)
+
+(* What a rung's schedule function hands to code generation. *)
+type scheduled = {
+  transform : Pluto.Types.transform;
+  gen_options : options;  (* the Feautrier and identity rungs generate untiled *)
+  proved : bool;  (* validated by an earlier run: a fastpath store hit *)
+  commit : unit -> unit;  (* run once the result is accepted, if not corrupted *)
+}
+
+(* What a failure of the rung does to the ladder. *)
+type policy =
+  | Reject
+      (* a ["fastpath-rejected"] warning, not a degradation; the rung is
+         speculative, so its output is always validated *)
+  | Degrade of Diag.t  (* the demoted failure and this warning; [strict] stops *)
+  | Stop  (* no rung below *)
+
+type rung = {
+  name : string;  (* prefix of the rung's failure diagnostics *)
+  input_deps : options -> bool;
+  schedule : options -> Ir.program -> Deps.t list -> scheduled;
+  policy : policy;
+}
+
+let plain ~options transform =
+  { transform; gen_options = options; proved = false; commit = ignore }
+
+(* Cached outcome of the fast matcher for one (program, options) pair.
+   Accepts are stored only after translation validation passed, so a warm
+   hit skips both the matcher and the validator; rejects are cached too —
+   re-deriving "this program needs the ILP" costs as much as the first
+   attempt did. *)
+type fast_cached =
+  | Fast_accepted of
+      Pluto.Types.level_kind array * int array array array * (int * int) list
+      (* kinds, rows, sorted (dep id, satisfaction level) *)
+  | Fast_rejected of string
+
+(* The cache key covers the whole compilation request: any option (tile
+   sizes, bounds, wavefronting...) changes the generated code the validator
+   signed off on. *)
+let fast_key (program : Ir.program) (options : options) =
+  match Marshal.to_string (program, options) [] with
+  | s -> Some (Digest.to_hex (Digest.string s))
+  | exception _ -> None
+
+(* The fast rung: the matcher, or its cached verdict.  A fresh accept is
+   stored once the ladder accepted it. *)
+let fast_schedule options program deps =
+  let key = fast_key program options in
+  let version = Pluto.Fastmatch.version and kind = "fastpath" in
+  let store v =
+    Option.iter (fun key -> Store.write_versioned ~version ~kind ~key v) key
+  in
+  (* a lower-bound estimate: the exact search solves at least one
+     hyperplane lexmin ILP per loop level it emits *)
+  let avoided (tr : Pluto.Types.transform) () =
+    Stats.add "fastpath.ilp_avoided"
+      (Array.fold_left
+         (fun n k -> if k = Pluto.Types.Scalar then n else n + 1)
+         0 tr.kinds)
+  in
+  match
+    Option.bind key (fun key ->
+        (Store.read_versioned ~version ~kind ~key : fast_cached option))
+  with
+  | Some (Fast_rejected reason) -> raise (Pluto.Fastmatch.No_fast_schedule reason)
+  | Some (Fast_accepted (kinds, rows, satisfied)) ->
+      let satisfied_at = Hashtbl.create 16 in
+      List.iter (fun (d, l) -> Hashtbl.replace satisfied_at d l) satisfied;
+      let tr =
+        { Pluto.Types.program; deps; nlevels = Array.length kinds; kinds; rows; satisfied_at }
+      in
+      { (plain ~options tr) with proved = true; commit = avoided tr }
+  | None -> (
+      match Pluto.Fastmatch.schedule ~config:options.auto program deps with
+      | exception (Pluto.Fastmatch.No_fast_schedule reason as e) ->
+          store (Fast_rejected reason);
+          raise e
+      | tr ->
+          let satisfied =
+            Hashtbl.fold (fun d l acc -> (d, l) :: acc) tr.satisfied_at []
+          in
+          let accepted =
+            Fast_accepted (tr.kinds, tr.rows, List.sort compare satisfied)
+          in
+          {
+            (plain ~options tr) with
+            commit =
+              (fun () ->
+                store accepted;
+                avoided tr ());
+          })
+
+(* No tiling, no parallel marks, no post-passes: the original program order
+   exactly as written (icc's auto-parallelizer fails on these). *)
+let original_options options =
+  {
+    options with
+    tile = false;
+    parallelize = false;
+    intra_reorder = false;
+    unroll_jam = 1;
+    reductions = false;
+  }
+
+let fast_rung =
+  {
+    name = "fast scheduling path";
+    input_deps = (fun o -> o.auto.Pluto.Auto.input_deps);
+    schedule = fast_schedule;
+    policy = Reject;
+  }
+
+let ilp_rung =
+  {
+    name = "Pluto auto transformation";
+    input_deps = (fun o -> o.auto.Pluto.Auto.input_deps);
+    schedule =
+      (fun options program deps ->
+        plain ~options (Pluto.Auto.transform ~config:options.auto program deps));
+    policy =
+      Degrade
+        (Diag.warning ~code:"degraded-feautrier"
+           "Pluto search failed; falling back to the Feautrier/FCO baseline \
+            schedule");
+  }
+
+let feautrier_rung =
+  {
+    name = "Feautrier baseline scheduler";
+    input_deps = (fun _ -> false);
+    schedule =
+      (fun options program deps ->
+        let config =
+          {
+            Feautrier_core.config with
+            Pluto.Auto.budget = options.auto.Pluto.Auto.budget;
+            Pluto.Auto.search_time_limit_s =
+              options.auto.Pluto.Auto.search_time_limit_s;
+          }
+        in
+        let tr, fco = Feautrier_core.scheduling_transform ~config program deps in
+        plain ~options:(if fco then options else { options with tile = false }) tr);
+    policy =
+      Degrade
+        (Diag.warning ~code:"degraded-identity"
+           "Feautrier baseline failed; emitting the original program order \
+            (no transformation)");
+  }
+
+let identity_rung =
+  {
+    name = "identity schedule";
+    input_deps = (fun _ -> true);
+    schedule =
+      (fun options program deps ->
+        plain ~options:(original_options options)
+          (Pluto.Auto.identity_transform ~config:options.auto program deps));
+    policy = Stop;
+  }
+
+let ladder = [ fast_rung; ilp_rung; feautrier_rung; identity_rung ]
+
+(* Dependences, then the rung's schedule, each under its pass timer. *)
+let schedule_rung ~options program rung =
   let deps =
     Stats.time "pass.deps" (fun () ->
-        Deps.compute ~input_deps:options.auto.Pluto.Auto.input_deps
+        Deps.compute ~input_deps:(rung.input_deps options)
           ~reductions:options.reductions program)
   in
-  let transform =
-    Stats.time "pass.transform" (fun () ->
-        Pluto.Auto.transform ~config:options.auto program deps)
-  in
-  compile_with_transform ~options program deps transform
+  (deps, Stats.time "pass.transform" (fun () -> rung.schedule options program deps))
 
-let compile_source ?options ?name src =
-  compile ?options (Frontend.parse_program ?name src)
+let compile_rung ~options program rung =
+  let deps, s = schedule_rung ~options program rung in
+  compile_with_transform ~options:s.gen_options program deps s.transform
+
+let compile ?(options = default_options) program =
+  compile_rung ~options program ilp_rung
 
 let compile_original ?(options = default_options) program =
-  let deps = Deps.compute ~reductions:options.reductions program in
-  let transform = Pluto.Auto.identity_transform ~config:options.auto program deps in
-  let target = Pluto.Tiling.untiled_target transform in
-  (* original code: no OpenMP marks (icc's auto-parallelizer fails on these) *)
-  let target =
-    { target with Pluto.Types.tpar = Array.map (fun _ -> Pluto.Types.Seq) target.Pluto.Types.tpar }
+  compile_rung ~options program identity_rung
+
+(* The [schedule.corrupt] fault site's mutation: negate every statement's row
+   at the outermost loop level that strongly satisfies a dependence
+   (reversing those dependences), falling back to the first loop level when
+   satisfaction is all-scalar. *)
+let corrupt_schedule (t : Pluto.Types.transform) =
+  let is_loop l =
+    match t.Pluto.Types.kinds.(l) with
+    | Pluto.Types.Loop _ -> true
+    | Pluto.Types.Scalar -> false
   in
-  let code = Codegen.generate ~context_min:options.context_min target in
-  { program; deps; transform; target; code }
+  let satisfying =
+    Hashtbl.fold
+      (fun _ l acc -> if is_loop l then min l acc else acc)
+      t.Pluto.Types.satisfied_at max_int
+  in
+  let first_loop =
+    List.find_opt is_loop (Putil.range (Array.length t.Pluto.Types.kinds))
+  in
+  match if satisfying < max_int then Some satisfying else first_loop with
+  | None -> t
+  | Some l ->
+      let negate i row = if i = l then Array.map (fun c -> -c) row else row in
+      { t with Pluto.Types.rows = Array.map (Array.mapi negate) t.Pluto.Types.rows }
 
 (* ---------------- robust compilation: the degradation ladder ------------- *)
 
@@ -326,6 +504,8 @@ let attempt ~what f =
       Error { d with Diag.message = what ^ ": " ^ d.Diag.message }
   | exception Pluto.Auto.No_transform msg ->
       Error (Diag.errorf ~code:"no-transform" "%s: no transformation found: %s" what msg)
+  | exception Pluto.Fastmatch.No_fast_schedule msg ->
+      Error (Diag.errorf ~code:"no-fast-schedule" "%s: %s" what msg)
   | exception Feautrier_core.No_schedule msg ->
       Error (Diag.errorf ~code:"no-schedule" "%s: no schedule found: %s" what msg)
   | exception Stack_overflow ->
@@ -337,168 +517,37 @@ let attempt ~what f =
 let demote (d : Diag.t) = { d with Diag.sev = Diag.Warning }
 let promote (d : Diag.t) = { d with Diag.sev = Diag.Error }
 
-(* ------------------------- the fast scheduling rung ----------------------- *)
+let validate ~what (r : result) =
+  match Verify.validate r.program r.deps r.transform r.code with
+  | rep when Verify.ok rep -> Ok r
+  | rep ->
+      Error
+        (Diag.errorf ~code:"verify-failed"
+           "%s: translation validation rejected the emitted code: %s" what
+           (Format.asprintf "%a" Verify.pp_report rep))
+  | exception ((Out_of_memory | Sys.Break) as e) -> raise e
+  | exception e ->
+      Error
+        (Diag.errorf ~code:"verify-failed" "%s: validator raised: %s" what
+           (Printexc.to_string e))
 
-(* Cached outcome of the fast matcher for one (program, options) pair.
-   Accepts are stored only after translation validation passed, so a warm
-   hit skips both the matcher and the validator; rejects are cached too —
-   re-deriving "this program needs the ILP" costs as much as the first
-   attempt did. *)
-type fast_cached =
-  | Fast_accepted of {
-      fc_kinds : Pluto.Types.level_kind array;
-      fc_rows : int array array array;
-      fc_satisfied : (int * int) list;  (* sorted (dep id, level) *)
-    }
-  | Fast_rejected of string
-
-let fast_store_kind = "fastpath"
-
-(* The cache key covers the whole compilation request: any option (tile
-   sizes, bounds, wavefronting...) changes the generated code the validator
-   signed off on. *)
-let fast_key (program : Ir.program) (options : options) =
-  match Marshal.to_string (program, options) [] with
-  | s -> Some (Digest.to_hex (Digest.string s))
-  | exception _ -> None
-
-let cached_of_transform (t : Pluto.Types.transform) =
-  let sat =
-    Hashtbl.fold (fun d l acc -> (d, l) :: acc) t.Pluto.Types.satisfied_at []
-  in
-  Fast_accepted
-    {
-      fc_kinds = t.Pluto.Types.kinds;
-      fc_rows = t.Pluto.Types.rows;
-      fc_satisfied = List.sort compare sat;
-    }
-
-let transform_of_cached program deps = function
-  | Fast_rejected reason -> Error reason
-  | Fast_accepted { fc_kinds; fc_rows; fc_satisfied } ->
-      let satisfied_at = Hashtbl.create 16 in
-      List.iter (fun (d, l) -> Hashtbl.replace satisfied_at d l) fc_satisfied;
-      Ok
-        {
-          Pluto.Types.program;
-          deps;
-          nlevels = Array.length fc_kinds;
-          kinds = fc_kinds;
-          rows = fc_rows;
-          satisfied_at;
-        }
-
-let loop_levels (t : Pluto.Types.transform) =
-  Array.fold_left
-    (fun a k ->
-      match k with Pluto.Types.Loop _ -> a + 1 | Pluto.Types.Scalar -> a)
-    0 t.Pluto.Types.kinds
-
-(* --break-fastpath: deliberately corrupt an accepted fast schedule so that
-   only the validator stands between it and the output — negate every
-   statement's row at the outermost loop level that strongly satisfies a
-   dependence (reversing those dependences), falling back to the first loop
-   level when satisfaction is all-scalar. *)
-let break_transform (t : Pluto.Types.transform) =
-  let is_loop l =
-    match t.Pluto.Types.kinds.(l) with
-    | Pluto.Types.Loop _ -> true
-    | Pluto.Types.Scalar -> false
-  in
-  let target = ref None in
-  Hashtbl.iter
-    (fun _ l ->
-      if is_loop l then
-        match !target with
-        | Some b when b <= l -> ()
-        | _ -> target := Some l)
-    t.Pluto.Types.satisfied_at;
-  if !target = None then
-    Array.iteri
-      (fun l _ -> if !target = None && is_loop l then target := Some l)
-      t.Pluto.Types.kinds;
-  match !target with
-  | None -> t
-  | Some l ->
-      let rows =
-        Array.map
-          (fun (srows : int array array) ->
-            Array.mapi
-              (fun i row ->
-                if i = l then Array.map (fun c -> -c) row else row)
-              srows)
-          t.Pluto.Types.rows
-      in
-      { t with Pluto.Types.rows = rows }
-
-(* One attempt at the fast rung: matcher (or cache) -> codegen -> translation
-   validation.  [Error reason] is a clean rejection (fall back to the ILP);
-   exceptions are the caller's [attempt] wall's problem.  [revalidate] forces
-   validation even on a warm cache hit (the [~verify] contract of
-   [compile_robust] is that every returned result was validated this run). *)
-let try_fast ~options ~revalidate program =
-  let deps =
-    Stats.time "pass.deps" (fun () ->
-        Deps.compute ~input_deps:options.auto.Pluto.Auto.input_deps
-          ~reductions:options.reductions program)
-  in
-  let key = if options.break_fastpath then None else fast_key program options in
-  let cache_read () =
-    match key with
-    | None -> None
-    | Some key ->
-        (Store.read_versioned ~version:Pluto.Fastmatch.version
-           ~kind:fast_store_kind ~key
-          : fast_cached option)
-  in
-  let cache_write v =
-    match key with
-    | None -> ()
-    | Some key ->
-        Store.write_versioned ~version:Pluto.Fastmatch.version
-          ~kind:fast_store_kind ~key v
-  in
-  let finish ~validated tr =
-    let r = compile_with_transform ~options program deps tr in
-    let validate () =
-      match Verify.validate r.program r.deps r.transform r.code with
-      | rep when Verify.ok rep -> Ok ()
-      | rep ->
-          Error
-            (Format.asprintf
-               "translation validation rejected the fast schedule: %a"
-               Verify.pp_report rep)
-    in
-    let verdict = if validated && not revalidate then Ok () else validate () in
-    match verdict with
-    | Ok () ->
-        if not validated then cache_write (cached_of_transform tr);
-        (* a lower-bound estimate: the exact search solves at least one
-           hyperplane lexmin ILP per loop level it emits *)
-        Stats.add "fastpath.ilp_avoided" (loop_levels tr);
-        Ok r
-    | Error reason -> Error reason
-  in
-  match cache_read () with
-  | Some (Fast_rejected reason) -> Error reason
-  | Some (Fast_accepted _ as c) -> (
-      match transform_of_cached program deps c with
-      | Error reason -> Error reason
-      | Ok tr -> finish ~validated:true tr)
-  | None -> (
-      match
-        Stats.time "pass.transform" (fun () ->
-            Pluto.Fastmatch.schedule ~config:options.auto program deps)
-      with
-      | exception Pluto.Fastmatch.No_fast_schedule reason ->
-          cache_write (Fast_rejected reason);
-          Error reason
-      | tr ->
-          let tr =
-            if options.break_fastpath then break_transform tr else tr
-          in
-          (* a deliberately broken schedule must never be published *)
-          finish ~validated:false tr)
+(* One rung: dependences, schedule, the [schedule.corrupt] fault site, code
+   generation, then validation when asked for or when the rung is
+   speculative (a store hit was validated by the run that stored it). *)
+let run_rung ~options ~verify program rung =
+  Result.join
+    (attempt ~what:rung.name (fun () ->
+         let deps, s = schedule_rung ~options program rung in
+         let corrupted = Fault.fire_at "schedule.corrupt" in
+         let tr = if corrupted then corrupt_schedule s.transform else s.transform in
+         let r = compile_with_transform ~options:s.gen_options program deps tr in
+         let checked =
+           if verify || (rung.policy = Reject && (corrupted || not s.proved))
+           then validate ~what:rung.name r
+           else Ok r
+         in
+         if Result.is_ok checked && not corrupted then s.commit ();
+         checked))
 
 let degraded ds =
   Diag.has_code ds "degraded-feautrier"
@@ -511,110 +560,38 @@ let verify ?param_lo ?param_hi ?claim_ctx ?params (r : result) =
 
 let compile_robust ?(options = default_options) ?(strict = false)
     ?(verify = false) program =
-  let validate_rung ~what r =
-    if not verify then Ok r
-    else
-      match
-        Verify.validate r.program r.deps r.transform r.code
-      with
-      | rep when Verify.ok rep -> Ok r
-      | rep ->
-          Error
-            (Diag.errorf ~code:"verify-failed"
-               "%s: translation validation rejected the emitted code: %s" what
-               (Format.asprintf "%a" Verify.pp_report rep))
-      | exception ((Out_of_memory | Sys.Break) as e) -> raise e
-      | exception e ->
-          Error
-            (Diag.errorf ~code:"verify-failed" "%s: validator raised: %s" what
-               (Printexc.to_string e))
-  in
-  let rung ~what f =
-    Result.bind (attempt ~what f) (validate_rung ~what)
-  in
-  let rung_auto () = compile ~options program in
-  let rung_feautrier () =
-    let deps =
-      Deps.compute ~input_deps:false ~reductions:options.reductions program
-    in
-    let fcfg =
-      { Feautrier_core.config with
-        Pluto.Auto.budget = options.auto.Pluto.Auto.budget;
-        Pluto.Auto.search_time_limit_s =
-          options.auto.Pluto.Auto.search_time_limit_s;
-      }
-    in
-    let tr, fco = Feautrier_core.scheduling_transform ~config:fcfg program deps in
-    let options = if fco then options else { options with tile = false } in
-    compile_with_transform ~options program deps tr
-  in
-  let rung_identity () = compile_original ~options program in
-  (* Top rung: the fast (fusion + dimension-matching) scheduler.  Its
-     accepts are translation-validated before being trusted; every other
-     outcome — clean rejection, validation failure, crash — is one
-     structured warning and a fall-through to the exact ILP below. *)
-  let fast =
-    if not options.fast_schedule then None
-    else begin
-      Stats.incr "fastpath.attempts";
-      match
-        attempt ~what:"fast scheduling path" (fun () ->
-            try_fast ~options ~revalidate:verify program)
-      with
-      | Ok (Ok r) ->
-          Stats.incr "fastpath.accepts";
-          Some (Ok r)
-      | Ok (Error reason) ->
-          Stats.incr "fastpath.rejects";
-          Some (Error reason)
-      | Error d ->
-          Stats.incr "fastpath.rejects";
-          Some (Error d.Diag.message)
-    end
-  in
-  match fast with
-  | Some (Ok r) ->
-      Ok
-        ( r,
-          [
-            Diag.note ~code:"fastpath-accepted"
-              "fast scheduling path accepted a validated permutation/fusion \
-               schedule (no ILP solves)";
-          ] )
-  | (None | Some (Error _)) as fast -> (
-      let fast_warns =
-        match fast with
-        | Some (Error reason) ->
-            [
-              Diag.warningf ~code:"fastpath-rejected"
-                "fast scheduling path rejected (%s); falling back to the \
-                 exact ILP"
-                reason;
-            ]
-        | _ -> []
-      in
-      match rung ~what:"Pluto auto transformation" rung_auto with
-      | Ok r -> Ok (r, fast_warns)
-      | Error d1 ->
-          if strict then Error [ promote d1 ]
-          else begin
-            let w1 =
-              Diag.warningf ~code:"degraded-feautrier"
-                "Pluto search failed; falling back to the Feautrier/FCO \
-                 baseline schedule"
-            in
-            match rung ~what:"Feautrier baseline scheduler" rung_feautrier with
-            | Ok r -> Ok (r, fast_warns @ [ demote d1; w1 ])
-            | Error d2 -> (
-                let w2 =
-                  Diag.warningf ~code:"degraded-identity"
-                    "Feautrier baseline failed; emitting the original \
-                     program order (no transformation)"
+  (* [warns] and [fails] are in reverse order *)
+  let rec climb warns fails = function
+    | [] -> Error (List.rev_map promote fails)
+    | rung :: rest -> (
+        let speculative = rung.policy = Reject in
+        if speculative then Stats.incr "fastpath.attempts";
+        match run_rung ~options ~verify program rung with
+        | Ok r when speculative ->
+            Stats.incr "fastpath.accepts";
+            Ok
+              ( r,
+                [
+                  Diag.note ~code:"fastpath-accepted"
+                    "fast scheduling path accepted a validated \
+                     permutation/fusion schedule (no ILP solves)";
+                ] )
+        | Ok r -> Ok (r, List.rev warns)
+        | Error d -> (
+            match rung.policy with
+            | Reject ->
+                Stats.incr "fastpath.rejects";
+                let w =
+                  Diag.warningf ~code:"fastpath-rejected"
+                    "%s; falling back to the exact ILP" d.Diag.message
                 in
-                match rung ~what:"identity schedule" rung_identity with
-                | Ok r -> Ok (r, fast_warns @ [ demote d1; w1; demote d2; w2 ])
-                | Error d3 -> Error [ promote d1; promote d2; promote d3 ])
-          end)
+                climb (w :: warns) fails rest
+            | Degrade w when not strict ->
+                climb (w :: demote d :: warns) (d :: fails) rest
+            | Degrade _ | Stop -> climb warns (d :: fails) []))
+  in
+  climb [] []
+    (List.filter (fun r -> options.fast_schedule || r.policy <> Reject) ladder)
 
 let compile_source_robust ?options ?strict ?verify ?name src =
   match Frontend.parse_program_diag ?name src with

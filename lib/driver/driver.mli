@@ -33,10 +33,6 @@ type options = {
           accepted schedules are translation-validated first, rejections
           fall back to the ILP with a ["fastpath-rejected"] warning.
           Default on ([--no-fast-schedule] turns it off). *)
-  break_fastpath : bool;
-      (** testing hook ([--break-fastpath]): deliberately corrupt any
-          accepted fast schedule before validation, proving the rejection
-          path end to end.  Poisoned results are never cached. *)
   reductions : bool;
       (** reduction-aware compilation ([--reductions], default off):
           associative/commutative self-updates are detected and their
@@ -50,11 +46,9 @@ type options = {
           ({!Machine.equivalent} [~tolerance]), not bit-exactly. *)
 }
 
+(** The paper's main experiments: tile + parallelize with one degree of
+    pipelined parallelism, intra-tile reordering on, plus the fast rung. *)
 val default_options : options
-
-(** Options matching the paper's main experiments: tile + parallelize with
-    one degree of pipelined parallelism, intra-tile reordering on. *)
-val paper_options : options
 
 type result = {
   program : Ir.program;
@@ -68,9 +62,6 @@ type result = {
     @raise Pluto.Auto.No_transform if the search fails. *)
 val compile : ?options:options -> Ir.program -> result
 
-(** [compile_source ?options ?name src] parses first. *)
-val compile_source : ?options:options -> ?name:string -> string -> result
-
 (** [compile_with_transform ?options program deps transform] skips the search
     and applies tiling/parallelization/codegen to an externally supplied
     transformation (used by the baseline schemes). *)
@@ -83,38 +74,42 @@ val compile_original : ?options:options -> Ir.program -> result
 
 (** {1 Robust compilation: the graceful-degradation ladder}
 
-    [compile_robust] never raises (other than genuine out-of-memory /
-    interrupt): every failure of a scheduling rung — [No_transform], solver
-    budget exhaustion ([Diag.Budget_exceeded]), or any unexpected exception —
-    is recorded as a warning diagnostic and the next rung is tried:
+    [compile_robust] walks one ordered list of rungs.  Each rung computes
+    the dependences, asks its scheduler for a transformation, generates
+    code and — when [verify] is set, or always for the speculative fast
+    rung — runs the translation validator ({!Verify.validate}).  Every
+    failure (a scheduler give-up, solver budget exhaustion
+    [Diag.Budget_exceeded], a rejected validation, any unexpected exception)
+    becomes a diagnostic through {!attempt}, and the rung's failure policy
+    decides what happens next:
 
     + the fast fusion/dimension-matching scheduler ({!Pluto.Fastmatch}),
-      when [options.fast_schedule] — zero ILP solves, and its output only
-      counts if the translation validator accepts it (an accept is recorded
-      as a ["fastpath-accepted"] note, a fall-through as a
-      ["fastpath-rejected"] warning — which is {e not} a degradation:
-      {!degraded} stays false and the CLI still exits 0);
-    + the Pluto automatic transformation ({!compile});
+      only when [options.fast_schedule]: zero ILP solves, accepts cached in
+      the ["fastpath"] store.  An accept is a ["fastpath-accepted"] note; a
+      failure is a ["fastpath-rejected"] warning, which is {e not} a
+      degradation ({!degraded} stays false, the CLI still exits 0);
+    + the Pluto automatic transformation ({!compile}).  A failure ends the
+      ladder under [strict]; otherwise it is demoted to a warning followed
+      by ["degraded-feautrier"];
     + the Feautrier + Griebl-FCO baseline schedule ({!Feautrier_core}), with
-      the same solver budget;
-    + the untiled identity schedule ({!compile_original}).
+      the same solver budget and search deadline.  A failure is demoted,
+      followed by ["degraded-identity"];
+    + the untiled identity schedule ({!compile_original}).  It fails only if
+      dependence analysis itself fails, when no semantically-safe code can
+      be emitted: the whole compilation is then a hard error listing every
+      non-fast rung's failure.
 
-    The identity rung can only fail if dependence analysis itself fails, in
-    which case no semantically-safe code can be emitted and the whole
-    compilation is a hard error.
+    Between scheduling and code generation each rung passes the
+    ["schedule.corrupt"] fault site ({!Fault.fire_at}, armed only by an
+    explicit [PLUTO_FAULT_AT=schedule.corrupt@N]): when it fires, the
+    transformation is mutated by {!corrupt_schedule}, so the validator has
+    something to catch.  A corrupted fast schedule is never written to or
+    served from the store. *)
 
-    With [strict:true] the ladder is disabled: the first failure returns
-    [Error] immediately (the CLI's [--strict]). *)
-
-(** [compile_robust ?options ?strict ?verify p] — [Ok (result, warnings)]
-    where the warnings record each degradation step (codes
-    ["degraded-feautrier"], ["degraded-identity"] plus the demoted failure
-    reasons), or [Error diagnostics] when no rung could emit code.
-
-    With [verify:true] every rung's output is additionally checked by the
-    translation validator ({!Verify.validate}); a rung whose output fails
-    validation is treated exactly like a rung that crashed (code
-    ["verify-failed"]) and the ladder degrades to the next rung. *)
+(** [compile_robust ?options ?strict ?verify p] — [Ok (result, diagnostics)],
+    the diagnostics recording the fast rung's verdict and each degradation
+    step, or [Error diagnostics] when no rung could emit code (or, under
+    [strict], when the exact ILP rung failed). *)
 val compile_robust :
   ?options:options ->
   ?strict:bool ->
@@ -131,6 +126,12 @@ val compile_source_robust :
   ?name:string ->
   string ->
   (result * Diag.t list, Diag.t list) Stdlib.result
+
+(** [corrupt_schedule t] — the ["schedule.corrupt"] mutation: negate every
+    statement's row at the outermost loop level that strongly satisfies a
+    dependence (reversing those dependences), or at the first loop level
+    when satisfaction is all-scalar; [t] itself if it has no loop level. *)
+val corrupt_schedule : Pluto.Types.transform -> Pluto.Types.transform
 
 (** [degraded ds] — does the diagnostic list record a degradation step? (The
     CLI maps this to exit code 2.) *)

@@ -162,12 +162,12 @@ let schedule_rows ?(config = config) (p : Ir.program) (deps : Deps.t list) =
   let unsatisfied = ref (List.map (fun d -> d.Deps.id) legality) in
   let deadline =
     Option.map
-      (fun dt -> Sys.time () +. dt)
+      (fun dt -> Unix.gettimeofday () +. dt)
       config.Pluto.Auto.search_time_limit_s
   in
   let check_deadline () =
     match deadline with
-    | Some d when Sys.time () > d ->
+    | Some d when Unix.gettimeofday () >= d ->
         raise
           (Diag.Budget_exceeded
              (Printf.sprintf "Feautrier schedule search exceeded %gs"

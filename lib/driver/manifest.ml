@@ -399,13 +399,13 @@ let options_to_json (o : Driver.options) =
     "{\"tile\": %b, \"tile_size\": %s, \"tile_sizes\": %s, \"parallelize\": \
      %b, \"wavefront\": %d, \"intra_reorder\": %b, \"unroll_jam\": %d, \
      \"min_band_tile\": %d, \"input_deps\": %b, \"fast_schedule\": %b, \
-     \"break_fastpath\": %b, \"reductions\": %b}"
+     \"reductions\": %b}"
     o.Driver.tile (int_opt o.Driver.tile_size)
     (int_arr_opt o.Driver.tile_sizes)
     o.Driver.parallelize o.Driver.wavefront o.Driver.intra_reorder
     o.Driver.unroll_jam o.Driver.min_band_tile
     o.Driver.auto.Pluto.Auto.input_deps o.Driver.fast_schedule
-    o.Driver.break_fastpath o.Driver.reductions
+    o.Driver.reductions
 
 let options_of_json j =
   let d = Driver.default_options in
@@ -444,6 +444,5 @@ let options_of_json j =
         Pluto.Auto.input_deps = b "input_deps" d.Driver.auto.Pluto.Auto.input_deps;
       };
     fast_schedule = b "fast_schedule" d.Driver.fast_schedule;
-    break_fastpath = b "break_fastpath" d.Driver.break_fastpath;
     reductions = b "reductions" d.Driver.reductions;
   }

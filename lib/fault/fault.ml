@@ -104,7 +104,7 @@ let draw seed site n =
   in
   float_of_int v /. 16777216.0
 
-let fire site =
+let fire_with ~rated site =
   match current () with
   | None -> false
   | Some c ->
@@ -116,7 +116,7 @@ let fire site =
           (match List.assoc_opt site c.fail_at with
           | Some ns -> List.mem n ns
           | None -> false)
-          || (c.rate > 0.0 && draw c.seed site n < c.rate)
+          || (rated && c.rate > 0.0 && draw c.seed site n < c.rate)
         in
         if hit then begin
           Stats.incr "fault.injected";
@@ -124,6 +124,9 @@ let fire site =
         end;
         hit
       end
+
+let fire = fire_with ~rated:true
+let fire_at = fire_with ~rated:false
 
 let sys_error site =
   if fire site then raise (Sys_error ("injected fault: " ^ site))

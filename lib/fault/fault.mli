@@ -11,6 +11,12 @@
     fault schedule is reproducible: the same seed injects the same faults at
     the same points.
 
+    One site is not I/O: ["schedule.corrupt"], in [Driver]'s degradation
+    ladder between scheduling and code generation, corrupts the schedule
+    ([Driver.corrupt_schedule]) so that the translation validator has
+    something to catch.  It is queried with {!fire_at}, so only an explicit
+    [schedule.corrupt@N] entry fires it.
+
     Faults surface as the *real* failure would: [Sys_error],
     [Unix.Unix_error] ([ENOSPC], [EINTR], ...), corrupted or truncated
     bytes, or a worker process SIGKILLing itself.  The instrumented layers
@@ -70,6 +76,13 @@ val enabled : unit -> bool
     fail.  The caller applies the site-appropriate failure itself (raise,
     corrupt, kill, ...); the helpers below cover the common shapes. *)
 val fire : string -> bool
+
+(** [fire_at site] — like {!fire}, but only an explicit [site@N] entry in
+    [fail_at] fires it, never [rate].  For sites that change what the
+    compiler emits rather than how it does I/O, so that rate storms, whose
+    contract is output bit-identical to the fault-free run, cannot reach
+    them. *)
+val fire_at : string -> bool
 
 (** [sys_error site] — raise [Sys_error] if [fire site]. *)
 val sys_error : string -> unit

@@ -115,9 +115,9 @@ val incr : string -> unit
 (** [add k n] — add [n] to counter [k]. *)
 val add : string -> int -> unit
 
-(** [time k f] — run [f ()], adding its wall-clock-ish duration
-    ([Sys.time], CPU seconds — no Unix dependency) to timer [k] and bumping
-    its call count.  Exceptions propagate; the time still gets recorded. *)
+(** [time k f] — run [f ()], adding its wall-clock duration
+    ([Unix.gettimeofday] seconds, like the solver deadlines) to timer [k]
+    and bumping its call count.  Exceptions propagate; the time still gets recorded. *)
 val time : string -> (unit -> 'a) -> 'a
 
 val counter : string -> int

@@ -607,34 +607,6 @@ let validate ?param_lo ?param_hi ?claim_ctx ?params (p : Ir.program) deps t cg =
     (validate_transform ?param_lo ?param_hi ?claim_ctx p deps t)
     (validate_coverage ~params p cg)
 
-(* Schedule mutations used by the test suite and plutocc's hidden
-   [--break-schedule] flag to exercise the rejection path end to end. *)
-module For_tests = struct
-  (* Negate every statement's row at the first genuine loop level: loop
-     reversal, illegal whenever that level carries a dependence. *)
-  let reverse_first_loop (t : Pluto.Types.transform) =
-    let rec find l =
-      if l >= t.Pluto.Types.nlevels then None
-      else
-        match t.Pluto.Types.kinds.(l) with
-        | Pluto.Types.Loop _ -> Some l
-        | Pluto.Types.Scalar -> find (l + 1)
-    in
-    match find 0 with
-    | None -> None
-    | Some l ->
-        let rows =
-          Array.map
-            (fun (stmt_rows : int array array) ->
-              Array.mapi
-                (fun i row ->
-                  if i = l then Array.map (fun c -> -c) row else Array.copy row)
-                stmt_rows)
-            t.Pluto.Types.rows
-        in
-        Some { t with Pluto.Types.rows }
-end
-
 let pp_report fmt r =
   Format.fprintf fmt
     "%s: %d legality + %d claim obligations discharged, %d instances checked"

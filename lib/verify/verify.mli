@@ -106,13 +106,3 @@ val validate :
   report
 
 val pp_report : Format.formatter -> report -> unit
-
-(** Schedule mutations for exercising the rejection path (the test suite and
-    plutocc's [--break-schedule]); not part of the stable API. *)
-module For_tests : sig
-  (** Negate every statement's row at the first genuine loop level (loop
-      reversal) — illegal whenever that level carries a dependence.  [None]
-      if the transform has no loop level. *)
-  val reverse_first_loop :
-    Pluto.Types.transform -> Pluto.Types.transform option
-end

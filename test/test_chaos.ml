@@ -279,6 +279,30 @@ let test_sigkill_warm_rerun () =
             true
             (warm_solves < cold_solves)))
 
+(* [schedule.corrupt] changes what the compiler emits, so only an explicit
+   [site@N] entry may fire it: a rate-1.0 storm over every site leaves the
+   emitted code of the in-process ladder untouched. *)
+let test_rate_never_corrupts_schedules () =
+  let code (k : Kernels.t) =
+    match Driver.compile_robust (Kernels.program k) with
+    | Ok (r, _) -> Putil.string_of_format Codegen.print_c r.Driver.code
+    | Error _ -> Alcotest.failf "%s: compile failed" k.Kernels.name
+  in
+  let kernels = [ Kernels.matmul; Kernels.jacobi_1d; Kernels.lu ] in
+  let clean = List.map code kernels in
+  let stormed =
+    Fun.protect
+      ~finally:(fun () -> Fault.install None)
+      (fun () ->
+        Fault.install
+          (Some { Fault.none with Fault.seed = base_seed; Fault.rate = 1.0 });
+        List.map code kernels)
+  in
+  Alcotest.(check int) "schedule.corrupt never fired" 0
+    (counter_of "fault.schedule.corrupt");
+  Alcotest.(check (list string)) "emitted C identical to the fault-free run"
+    clean stormed
+
 let suite =
   ( "chaos",
     [
@@ -286,4 +310,6 @@ let suite =
         test_chaos_invariant;
       Fixtures.stats_case "sigkill mid-write, then warm rerun" `Quick
         test_sigkill_warm_rerun;
+      Fixtures.stats_case "rate storms never corrupt schedules" `Quick
+        test_rate_never_corrupts_schedules;
     ] )

@@ -17,8 +17,8 @@
      PLUTO_FUZZ_SEED reproduce failures);
    - the point of the subsystem: with the fast path on, scheduling-time ILP
      solves over the kernel corpus drop at least 5x;
-   - the [--break-fastpath] hook proves the validator actually guards the
-     accept: a corrupted fast schedule is rejected end to end;
+   - the ["schedule.corrupt"] fault site proves the validator actually
+     guards the accept: a corrupted fast schedule is rejected end to end;
    - fast-path store entries are stamped with the matcher version, so a
      version bump is a cache miss, never a stale schedule. *)
 
@@ -320,19 +320,26 @@ let test_ilp_solve_reduction () =
 
 (* --------------------------- the validator guard -------------------------- *)
 
-let test_break_fastpath_is_caught () =
+let test_corrupt_fast_schedule_is_caught () =
   let k = Kernels.matmul in
   let p = Kernels.program k in
   (* sanity: matmul is a kernel the matcher accepts... *)
   let _, clean_ds = robust k.Kernels.name p in
   Alcotest.(check bool) "matmul takes the fast path when unbroken" true
     (Diag.has_code clean_ds "fastpath-accepted");
-  (* ...so a deliberately corrupted fast schedule exercises the guard: the
-     validator must reject it and the ladder fall back to the exact ILP *)
-  let broken =
-    { Driver.default_options with Driver.break_fastpath = true }
+  (* ...so corrupting the first schedule to reach codegen (the fast one)
+     exercises the guard: the validator must reject it and the ladder fall
+     back to the exact ILP *)
+  let r, ds =
+    Fun.protect
+      ~finally:(fun () -> Fault.install None)
+      (fun () ->
+        Fault.install
+          (Some { Fault.none with Fault.fail_at = [ ("schedule.corrupt", [ 1 ]) ] });
+        robust k.Kernels.name p)
   in
-  let r, ds = robust ~options:broken k.Kernels.name p in
+  Alcotest.(check int) "the fault site fired once" 1
+    (Stats.counter "fault.schedule.corrupt");
   Alcotest.(check bool) "poisoned schedule is rejected" true
     (Diag.has_code ds "fastpath-rejected");
   Alcotest.(check bool) "rejection is not a degradation" false
@@ -389,8 +396,8 @@ let suite =
         test_matcher_deterministic;
       Fixtures.stats_case "scheduling-time ILP solves cut >= 5x" `Slow
         test_ilp_solve_reduction;
-      Fixtures.stats_case "--break-fastpath is caught by the validator" `Quick
-        test_break_fastpath_is_caught;
+      Fixtures.stats_case "corrupt fast schedule is caught" `Quick
+        test_corrupt_fast_schedule_is_caught;
       Alcotest.test_case "store entries are version-stamped" `Quick
         test_store_version_stamp;
     ] )

@@ -204,6 +204,52 @@ let test_ladder_degrades_to_identity () =
         (Diag.has_code ds "degraded-identity");
       check_equiv r
 
+(* A zero whole-search allowance trips each scheduler's wall-clock deadline
+   on its first check: a budget failure, never a transformation.  Both
+   schedulers share [search_time_limit_s], so the ladder ends on identity. *)
+let zero_allowance_options =
+  {
+    Driver.default_options with
+    Driver.auto =
+      { Pluto.Auto.default_config with Pluto.Auto.search_time_limit_s = Some 0.0 };
+  }
+
+let check_zero_allowance ~rung ~exceeded schedule =
+  let p, deps = Fixtures.program_and_deps Kernels.jacobi_1d in
+  (match schedule p deps with
+  | exception Diag.Budget_exceeded msg ->
+      Alcotest.(check bool) ("deadline message: " ^ msg) true
+        (Astring.String.is_infix ~affix:exceeded msg)
+  | _ -> Alcotest.fail "a zero allowance produced a transformation");
+  match Driver.compile_robust ~options:zero_allowance_options p with
+  | Error ds ->
+      Alcotest.failf "identity must remain: %s"
+        (Format.asprintf "%a" (Diag.pp_all ?src:None) ds)
+  | Ok (_, ds) ->
+      Alcotest.(check bool) "degraded to identity" true
+        (Diag.has_code ds "degraded-identity");
+      Alcotest.(check bool) (rung ^ " failed on its budget") true
+        (List.exists
+           (fun d ->
+             d.Diag.code = "budget"
+             && Astring.String.is_prefix ~affix:rung d.Diag.message
+             && Astring.String.is_infix ~affix:exceeded d.Diag.message)
+           ds)
+
+let test_auto_zero_allowance () =
+  check_zero_allowance ~rung:"Pluto auto transformation"
+    ~exceeded:"transformation search exceeded" (fun p deps ->
+      Pluto.Auto.transform ~config:zero_allowance_options.Driver.auto p deps)
+
+let test_feautrier_zero_allowance () =
+  check_zero_allowance ~rung:"Feautrier baseline scheduler"
+    ~exceeded:"Feautrier schedule search exceeded" (fun p deps ->
+      fst
+        (Feautrier_core.scheduling_transform
+           ~config:
+             { Feautrier_core.config with Pluto.Auto.search_time_limit_s = Some 0.0 }
+           p deps))
+
 let test_strict_disables_ladder () =
   let p = Kernels.program Kernels.jacobi_1d in
   match Driver.compile_robust ~options:crippled_search_options ~strict:true p with
@@ -311,6 +357,10 @@ let suite =
       Alcotest.test_case "ladder: degrade to identity" `Quick
         test_ladder_degrades_to_identity;
       Alcotest.test_case "ladder: --strict" `Quick test_strict_disables_ladder;
+      Alcotest.test_case "auto: zero search allowance" `Quick
+        test_auto_zero_allowance;
+      Alcotest.test_case "feautrier: zero search allowance" `Quick
+        test_feautrier_zero_allowance;
       Alcotest.test_case "lexmin unbounded is structured" `Quick
         test_lexmin_unbounded_is_structured;
       Alcotest.test_case "crash-freedom fuzz" `Slow test_crash_freedom_fuzz;
